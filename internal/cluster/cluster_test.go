@@ -394,3 +394,46 @@ func TestSetPowerEvictNonFinite(t *testing.T) {
 		t.Fatalf("+Inf power = %d cores, want full %d", s.PoweredCores(), s.cfg.TotalCores())
 	}
 }
+
+// TestStepPowerFracNonFinite is TestSetPowerEvictNonFinite for Step: NaN
+// and -Inf power are a blackout and +Inf is full power, so the powered
+// core count, utilization and free cores never report garbage.
+func TestStepPowerFracNonFinite(t *testing.T) {
+	s, err := New(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Step(t0, 1.0, []workload.VM{mkVM(1, 5, 10)})
+	res := s.Step(t0.Add(15*time.Minute), math.NaN(), nil)
+	if res.Evicted != 1 || s.PoweredCores() != 0 {
+		t.Fatalf("NaN power: evicted=%d powered=%d, want 1/0 (blackout)", res.Evicted, s.PoweredCores())
+	}
+	if snap := s.Snapshot(); snap.FreeCores != 0 || s.Utilization() != 0 {
+		t.Fatalf("NaN power: free cores %d, utilization %v, want 0/0", snap.FreeCores, s.Utilization())
+	}
+	if s.Step(t0.Add(30*time.Minute), math.Inf(-1), nil); s.PoweredCores() != 0 {
+		t.Fatalf("-Inf power left %d cores powered, want 0", s.PoweredCores())
+	}
+	res = s.Step(t0.Add(45*time.Minute), math.Inf(1), nil)
+	if s.PoweredCores() != s.cfg.TotalCores() || res.Launched != 1 {
+		t.Fatalf("+Inf power: powered=%d launched=%d, want %d/1", s.PoweredCores(), res.Launched, s.cfg.TotalCores())
+	}
+}
+
+// TestNegativeSizeNeverFits: a malformed VM with negative cores or memory
+// is refused rather than pushing a server past its capacity or out of the
+// best-fit index.
+func TestNegativeSizeNeverFits(t *testing.T) {
+	s, err := New(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, vm := range []workload.VM{mkVM(1, -1, 10), mkVM(2, 1, -10)} {
+		if s.Admit(vm) {
+			t.Errorf("VM %d with cores %d, memory %d GB admitted", vm.ID, vm.Cores, vm.MemoryGB)
+		}
+	}
+	if err := s.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

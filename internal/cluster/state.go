@@ -1,8 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/vbcloud/vb/internal/workload"
 )
@@ -44,12 +45,8 @@ func (s *Site) State() SiteState {
 		Pending:     make([]PendingVMState, len(s.pending)),
 	}
 	for i := range s.servers {
-		vms := make([]workload.VM, 0, len(s.servers[i].vms))
-		for _, vm := range s.servers[i].vms {
-			vms = append(vms, vm)
-		}
-		sort.Slice(vms, func(a, b int) bool { return vms[a].ID < vms[b].ID })
-		st.Servers[i] = vms
+		// Never nil, so an empty server encodes as [] in JSON as it always has.
+		st.Servers[i] = append(make([]workload.VM, 0, len(s.servers[i].vms)), s.servers[i].vms...)
 	}
 	for i, p := range s.pending {
 		st.Pending[i] = PendingVMState{VM: p.vm, Evicted: p.evicted}
@@ -81,8 +78,11 @@ func NewFromState(st SiteState) (*Site, error) {
 		evictCursor: st.EvictCursor,
 	}
 	for i := range s.servers {
-		s.servers[i].vms = make(map[int]workload.VM, len(st.Servers[i]))
-		for _, vm := range st.Servers[i] {
+		// State writes each list sorted by ID; sort anyway so a hand-edited
+		// snapshot in any order restores the same site.
+		vms := slices.Clone(st.Servers[i])
+		slices.SortFunc(vms, func(a, b workload.VM) int { return cmp.Compare(a.ID, b.ID) })
+		for _, vm := range vms {
 			if vm.Cores <= 0 || vm.MemoryGB <= 0 {
 				return nil, fmt.Errorf("cluster: VM %d on server %d has non-positive size", vm.ID, i)
 			}
@@ -91,10 +91,10 @@ func NewFromState(st SiteState) (*Site, error) {
 			}
 			s.servers[i].allocCores += vm.Cores
 			s.servers[i].allocMemGB += vm.MemoryGB
-			s.servers[i].vms[vm.ID] = vm
 			s.where[vm.ID] = i
 			s.alloc += vm.Cores
 		}
+		s.servers[i].vms = vms
 		if s.servers[i].allocCores > st.Config.CoresPerServer || s.servers[i].allocMemGB > st.Config.MemPerServerGB {
 			return nil, fmt.Errorf("cluster: server %d over capacity in snapshot (%d cores, %d GB)",
 				i, s.servers[i].allocCores, s.servers[i].allocMemGB)
@@ -102,7 +102,8 @@ func NewFromState(st SiteState) (*Site, error) {
 	}
 	s.pending = make([]pendingVM, len(st.Pending))
 	for i, p := range st.Pending {
-		s.pending[i] = pendingVM{vm: p.VM, evicted: p.Evicted}
+		s.pending[i] = newPending(p.VM, p.Evicted)
 	}
+	s.buildIndexes()
 	return s, nil
 }

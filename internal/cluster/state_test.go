@@ -23,7 +23,11 @@ func TestSiteStateRoundTrip(t *testing.T) {
 	nextID := 1
 	now := t0
 	step := func(site *Site, frac float64, arr []workload.VM) StepResult {
-		return site.Step(now, frac, arr)
+		res := site.Step(now, frac, arr)
+		if err := site.checkInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
 	fracs := []float64{1, 0.8, 0.3, 0.55, 0.2, 0.9, 0.6}
 	for _, f := range fracs {
@@ -45,6 +49,9 @@ func TestSiteStateRoundTrip(t *testing.T) {
 
 	restored, err := NewFromState(s.State())
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	if restored.AllocatedCores() != s.AllocatedCores() ||
