@@ -86,8 +86,9 @@ type warmEntry struct {
 	tick int64
 }
 
-// warmCap bounds the warm-state cache; each entry holds an m×m basis
-// inverse, so the cache is worth bounding on long multi-app runs. Eviction
+// warmCap bounds the warm-state cache; each entry holds a compiled
+// instance (sparse constraint matrix, bounds, basis and its sparse LU
+// factors), so the cache is worth bounding on long multi-app runs. Eviction
 // is by smallest tick, which is deterministic (ticks are unique).
 const warmCap = 32
 
@@ -253,22 +254,10 @@ func (s *Scheduler) placeGreedy(app AppDemand, nowStep, endStep int, predCap Cap
 	return plan, nil
 }
 
-// placeMIP builds and solves the paper's site-selection MIP (§3.1).
-//
-// Variables, per horizon step tau in [0, H) and site sel:
-//
-//	a[s,tau]  cores of this app on site s         (continuous)
-//	m[s,tau]  cores newly moved onto s at tau      (continuous)
-//	u[tau]    unplaced cores (shortfall, penalized) (continuous)
-//	y[s]      site s used by this app               (binary)
-//	P         peak per-step migration GB            (continuous, O2)
-//
-// Constraints: demand per step, predicted capacity per site-step, linking
-// a <= D*y, at most MaxSitesPerApp sites, migration definition
-// m >= a_tau - a_{tau-1}, and P >= step traffic. Objective O1 is total
-// migration GB; O2 adds peakWeight * P; shortfall carries a large penalty so
-// capacity gaps surface as explicit shortfall instead of infeasibility.
-func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stableCap CapacityFn, prev []float64, prevPlan [][]float64) (Plan, error) {
+// mipHorizon is the number of plan steps the site-selection MIP looks
+// ahead for a placement over [nowStep, endStep): the whole window, capped
+// by the configured horizon (24 h under MIP24h).
+func (s *Scheduler) mipHorizon(nowStep, endStep int) int {
 	horizon := endStep - nowStep
 	if s.cfg.Policy == MIP24h || s.cfg.Horizon > 0 {
 		h := s.cfg.Horizon
@@ -283,8 +272,32 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 			horizon = hs
 		}
 	}
+	return horizon
+}
+
+// buildMIP builds the paper's site-selection MIP (§3.1) for one placement
+// over H plan steps from nowStep.
+//
+// Variables, per horizon step tau in [0, H) and site sel:
+//
+//	a[s,tau]  cores of this app on site s         (continuous)
+//	m[s,tau]  cores newly moved onto s at tau      (continuous)
+//	u[tau]    unplaced cores (shortfall, penalized) (continuous)
+//	y[s]      site s used by this app               (binary)
+//	P         peak per-step migration GB            (continuous, O2)
+//
+// Constraints: demand per step, predicted capacity per site-step, linking
+// a <= D*y, at most MaxSitesPerApp sites, migration definition
+// m >= a_tau - a_{tau-1}, and P >= step traffic. Objective O1 is total
+// migration GB; O2 adds peakWeight * P; shortfall carries a large penalty so
+// capacity gaps surface as explicit shortfall instead of infeasibility.
+//
+// Rows are sparse and share two slabs; each row's columns are put in
+// ascending order, which the variable layout below makes a matter of
+// listing them in layout order. a[s,tau] sits at column s*H+tau, so the
+// plan reads site s at step tau from X[s*H+tau].
+func (s *Scheduler) buildMIP(app AppDemand, nowStep, H int, predCap, stableCap CapacityFn, prev []float64, prevPlan [][]float64) mip.Problem {
 	k := s.numSites
-	H := horizon
 
 	// Variable layout.
 	nA := k * H
@@ -309,7 +322,10 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 	eVar := func(tau int) int { return pVar + 1 + tau }
 	numVars := pVar + 1 + nE
 
-	obj := make([]float64, numVars)
+	// The objective and the upper bounds are the model's only dense
+	// vectors; they share one allocation.
+	dense := make([]float64, 2*numVars)
+	obj, upper := dense[:numVars:numVars], dense[numVars:]
 	memGB := app.MemGBPerCore
 	// O1: total migration volume. Later moves are discounted slightly so
 	// that when the optimum is indifferent about *when* to move (the cost
@@ -373,18 +389,29 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 		}
 	}
 
-	var cons []lp.Constraint
-	row := func(pairs map[int]float64, sense lp.Sense, rhs float64) {
-		coeffs := make([]float64, numVars)
-		for j, v := range pairs {
-			coeffs[j] = v
-		}
-		cons = append(cons, lp.Constraint{Coeffs: coeffs, Sense: sense, RHS: rhs})
+	// Row and nonzero counts, exact so the slabs never regrow: per step a
+	// demand row; per site-step a soft-capacity, a linking and (but for a
+	// first placement's tau 0) a migration row; two deviation rows per
+	// site-step when re-planning against prevPlan; the site-count row; and
+	// under O2 a peak and a smoothing row per step.
+	nRows := H + 3*k*H - k + 1
+	nnz := H*(k+1) + 7*k*H - 3*k + k
+	if prev != nil {
+		nRows += k
+		nnz += 2 * k
 	}
+	if prevPlan != nil {
+		nRows += 2 * k * H
+		nnz += 4 * k * H
+	}
+	if nE > 0 {
+		nRows += 2 * H
+		nnz += H*(k+1) + H*(k*H+1)
+	}
+	rows := lp.NewRowBuilder(nRows, nnz)
 	// Singleton rows (hard capacity, binary bounds) become native variable
 	// bounds: the LP shrinks and branching on y tightens a bound in place.
 	// Lower bounds stay at the default zero.
-	upper := make([]float64, numVars)
 	for j := range upper {
 		upper[j] = math.Inf(1)
 	}
@@ -401,11 +428,11 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 	}
 	for tau := 0; tau < H; tau++ {
 		// Demand: sum_s a + u = D (stable cores only).
-		pairs := map[int]float64{uVar(tau): 1}
 		for site := 0; site < k; site++ {
-			pairs[aVar(site, tau)] = 1
+			rows.Put(aVar(site, tau), 1)
 		}
-		row(pairs, lp.EQ, demand)
+		rows.Put(uVar(tau), 1)
+		rows.End(lp.EQ, demand)
 	}
 	for site := 0; site < k; site++ {
 		for tau := 0; tau < H; tau++ {
@@ -422,18 +449,27 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 				upper[aVar(site, tau)] = free
 			}
 			// Soft preference: a - o <= stable level.
-			row(map[int]float64{aVar(site, tau): 1, oVar(site, tau): -1}, lp.LE, freeStable)
+			rows.Put(aVar(site, tau), 1)
+			rows.Put(oVar(site, tau), -1)
+			rows.End(lp.LE, freeStable)
 			// Linking: a <= D * y.
-			row(map[int]float64{aVar(site, tau): 1, yVar(site): -demand}, lp.LE, 0)
+			rows.Put(aVar(site, tau), 1)
+			rows.Put(yVar(site), -demand)
+			rows.End(lp.LE, 0)
 			// Migration definition: m >= a_tau - a_{tau-1}.
 			if tau == 0 {
 				if prev != nil {
-					row(map[int]float64{mVar(site, 0): 1, aVar(site, 0): -1}, lp.GE, -prev[site])
+					rows.Put(aVar(site, 0), -1)
+					rows.Put(mVar(site, 0), 1)
+					rows.End(lp.GE, -prev[site])
 				}
 				// First placement: tau 0 moves are free (no constraint ties
 				// m down; m = 0 at optimum since it only costs).
 			} else {
-				row(map[int]float64{mVar(site, tau): 1, aVar(site, tau): -1, aVar(site, tau-1): 1}, lp.GE, 0)
+				rows.Put(aVar(site, tau-1), 1)
+				rows.Put(aVar(site, tau), -1)
+				rows.Put(mVar(site, tau), 1)
+				rows.End(lp.GE, 0)
 			}
 		}
 		// Binary bound.
@@ -442,17 +478,20 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 		if prevPlan != nil {
 			for tau := 0; tau < H; tau++ {
 				old := prevPlan[site][nowStep+tau]
-				row(map[int]float64{dVar(site, tau): 1, aVar(site, tau): -1}, lp.GE, -old)
-				row(map[int]float64{dVar(site, tau): 1, aVar(site, tau): 1}, lp.GE, old)
+				rows.Put(aVar(site, tau), -1)
+				rows.Put(dVar(site, tau), 1)
+				rows.End(lp.GE, -old)
+				rows.Put(aVar(site, tau), 1)
+				rows.Put(dVar(site, tau), 1)
+				rows.End(lp.GE, old)
 			}
 		}
 	}
 	// Site count bound.
-	pairs := map[int]float64{}
 	for site := 0; site < k; site++ {
-		pairs[yVar(site)] = 1
+		rows.Put(yVar(site), 1)
 	}
-	row(pairs, lp.LE, float64(s.cfg.maxSites()))
+	rows.End(lp.LE, float64(s.cfg.maxSites()))
 	// Peak: this app's step traffic stacked on the fleet-wide planned
 	// traffic must fit under P. Coordinating through the migration ledger
 	// is what spreads the *aggregate* migration load over time ("MIP-peak
@@ -465,24 +504,29 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 		}
 		meanCommitted /= float64(H)
 		for tau := 0; tau < H; tau++ {
-			pp := map[int]float64{pVar: -1}
 			for site := 0; site < k; site++ {
-				pp[mVar(site, tau)] = memGB
+				rows.Put(mVar(site, tau), memGB)
 			}
-			row(pp, lp.LE, -s.migCommitted[nowStep+tau])
+			rows.Put(pVar, -1)
+			rows.End(lp.LE, -s.migCommitted[nowStep+tau])
 			// Smoothing excess: step traffic minus the horizon-mean traffic
 			// (both including the fleet-wide committed ledger) must fit
 			// under e[tau]:
 			//   sum_s mem*m[s,tau] - (1/H) sum_{s,t'} mem*m[s,t'] - e[tau]
 			//     <= mean(committed) - committed[tau].
-			sm := map[int]float64{eVar(tau): -1}
+			// m[s,tau] appears in both sums; its coefficient is formed as
+			// (-memGB/H) + memGB, which is exactly zero when H == 1.
 			for site := 0; site < k; site++ {
 				for t2 := 0; t2 < H; t2++ {
-					sm[mVar(site, t2)] = -memGB / float64(H)
+					v := -memGB / float64(H)
+					if t2 == tau {
+						v += memGB
+					}
+					rows.Put(mVar(site, t2), v)
 				}
-				sm[mVar(site, tau)] += memGB
 			}
-			row(sm, lp.LE, meanCommitted-s.migCommitted[nowStep+tau])
+			rows.Put(eVar(tau), -1)
+			rows.End(lp.LE, meanCommitted-s.migCommitted[nowStep+tau])
 		}
 	}
 
@@ -490,6 +534,19 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 	for site := 0; site < k; site++ {
 		integer[yVar(site)] = true
 	}
+	return mip.Problem{
+		Problem: lp.Problem{NumVars: numVars, Objective: obj, Constraints: rows.Rows(), Upper: upper},
+		Integer: integer,
+	}
+}
+
+// placeMIP builds the placement's site-selection MIP (see buildMIP), solves
+// it, and walks the degradation ladder when the solve yields no plan.
+func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stableCap CapacityFn, prev []float64, prevPlan [][]float64) (Plan, error) {
+	k := s.numSites
+	H := s.mipHorizon(nowStep, endStep)
+	prob := s.buildMIP(app, nowStep, H, predCap, stableCap, prev, prevPlan)
+	demand := app.StableCores
 
 	// Solver pressure (a latency fault) derates the node budget instead of
 	// racing a wall clock: the truncation point is then a pure function of
@@ -500,10 +557,6 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 		if maxNodes < 1 {
 			maxNodes = 1
 		}
-	}
-	prob := mip.Problem{
-		Problem: lp.Problem{NumVars: numVars, Objective: obj, Constraints: cons, Upper: upper},
-		Integer: integer,
 	}
 
 	reg := s.cfg.Obs
@@ -592,7 +645,7 @@ func (s *Scheduler) placeMIP(app AppDemand, nowStep, endStep int, predCap, stabl
 			if tau >= H {
 				tau = H - 1 // hold the last planned allocation
 			}
-			plan.Alloc[site][t] = sol.X[aVar(site, tau)]
+			plan.Alloc[site][t] = sol.X[site*H+tau]
 		}
 	}
 	return plan, nil

@@ -27,28 +27,29 @@ func benchProblem(nVars, nRows int, seed int64) Problem {
 		}
 	}
 	for i := 0; i < nRows; i++ {
-		c := Constraint{Coeffs: make([]float64, nVars)}
+		co := make([]float64, nVars)
+		c := Constraint{}
 		switch i % 3 {
 		case 0: // demand: a sparse equality kept feasible by a slack-ish column
 			for k := 0; k < 4; k++ {
-				c.Coeffs[rng.Intn(nVars)] = 1
+				co[rng.Intn(nVars)] = 1
 			}
 			c.Sense = EQ
 			c.RHS = 20 + rng.Float64()*30
 		case 1: // capacity: sum of a few columns under a cap
 			for k := 0; k < 6; k++ {
-				c.Coeffs[rng.Intn(nVars)] = 1 + rng.Float64()
+				co[rng.Intn(nVars)] = 1 + rng.Float64()
 			}
 			c.Sense = LE
 			c.RHS = 100 + rng.Float64()*200
 		default: // coverage: at least some mass across a few columns
 			for k := 0; k < 5; k++ {
-				c.Coeffs[rng.Intn(nVars)] = 1
+				co[rng.Intn(nVars)] = 1
 			}
 			c.Sense = GE
 			c.RHS = rng.Float64() * 10
 		}
-		p.Constraints = append(p.Constraints, c)
+		p.Constraints = append(p.Constraints, DenseRow(co, c.Sense, c.RHS))
 	}
 	return p
 }

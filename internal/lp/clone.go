@@ -29,17 +29,12 @@ func (in *Instance) Clone() *Instance {
 		xB:    append([]float64(nil), in.xB...),
 		ready: in.ready,
 
-		accum:      make([]float64, in.m),
-		w:          make([]float64, in.m),
-		y:          make([]float64, in.m),
-		rowScratch: make([]float64, in.m),
-		valScratch: make([]float64, in.n),
-		d:          append([]float64(nil), in.d...),
-		dExact:     in.dExact,
-		cb1:        make([]int8, in.m),
+		d:      append([]float64(nil), in.d...),
+		dExact: in.dExact,
 
 		interrupt: in.interrupt,
 	}
+	c.allocScratch()
 	return c
 }
 

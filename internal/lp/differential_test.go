@@ -21,24 +21,25 @@ func randomProblem(rng *rand.Rand, withBounds bool) Problem {
 		p.Objective[j] = math.Round(rng.NormFloat64()*10) / 4
 	}
 	for i := 0; i < m; i++ {
-		c := Constraint{Coeffs: make([]float64, n), Sense: Sense(rng.Intn(3))}
+		co := make([]float64, n)
+		c := Constraint{Sense: Sense(rng.Intn(3))}
 		nz := 0
-		for j := range c.Coeffs {
+		for j := range co {
 			if rng.Intn(3) > 0 {
-				c.Coeffs[j] = math.Round(rng.NormFloat64()*8) / 4
-				if c.Coeffs[j] != 0 {
+				co[j] = math.Round(rng.NormFloat64()*8) / 4
+				if co[j] != 0 {
 					nz++
 				}
 			}
 		}
 		if nz == 0 {
-			c.Coeffs[rng.Intn(n)] = 1
+			co[rng.Intn(n)] = 1
 		}
 		c.RHS = math.Round(rng.NormFloat64()*20) / 4
 		if c.Sense == LE && c.RHS < 0 && rng.Intn(2) == 0 {
 			c.RHS = -c.RHS // keep a healthy share of feasible problems
 		}
-		p.Constraints = append(p.Constraints, c)
+		p.Constraints = append(p.Constraints, DenseRow(co, c.Sense, c.RHS))
 	}
 	if withBounds {
 		p.Lower = make([]float64, n)
@@ -124,8 +125,8 @@ func checkAgainstReference(t *testing.T, p Problem, seed int64) {
 	}
 	for i, c := range p.Constraints {
 		lhs := 0.0
-		for j, v := range c.Coeffs {
-			lhs += v * got.X[j]
+		for k, j := range c.Index {
+			lhs += c.Value[k] * got.X[j]
 		}
 		viol := false
 		switch c.Sense {
@@ -199,28 +200,33 @@ func growProblem(rng *rand.Rand, p Problem, n int) Problem {
 			p.Upper = append(p.Upper, float64(1+rng.Intn(10)))
 		}
 	}
+	old := p.NumVars
 	p.NumVars = n
 	rows := len(p.Constraints)
 	for i := 0; i < rows; i++ {
 		c := &p.Constraints[i]
-		for len(c.Coeffs) < n {
+		for j := old; j < n; j++ {
 			v := 0.0
 			if rng.Intn(2) == 0 {
 				v = math.Round(rng.NormFloat64()*8) / 4
 			}
-			c.Coeffs = append(c.Coeffs, v)
+			if v != 0 {
+				c.Index = append(c.Index, int32(j))
+				c.Value = append(c.Value, v)
+			}
 		}
 	}
 	extra := rng.Intn(10)
 	for i := 0; i < extra; i++ {
-		c := Constraint{Coeffs: make([]float64, n), Sense: Sense(rng.Intn(3))}
-		for j := range c.Coeffs {
+		co := make([]float64, n)
+		c := Constraint{Sense: Sense(rng.Intn(3))}
+		for j := range co {
 			if rng.Intn(3) == 0 {
-				c.Coeffs[j] = math.Round(rng.NormFloat64()*8) / 4
+				co[j] = math.Round(rng.NormFloat64()*8) / 4
 			}
 		}
 		c.RHS = math.Round(math.Abs(rng.NormFloat64())*30) / 4
-		p.Constraints = append(p.Constraints, c)
+		p.Constraints = append(p.Constraints, DenseRow(co, c.Sense, c.RHS))
 	}
 	return p
 }
@@ -236,8 +242,8 @@ func TestInstanceWarmResolve(t *testing.T) {
 		Objective: []float64{3, 2},
 		Maximize:  true,
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1}, Sense: LE, RHS: 4},
-			{Coeffs: []float64{1, 3}, Sense: LE, RHS: 6},
+			DenseRow([]float64{1, 1}, LE, 4),
+			DenseRow([]float64{1, 3}, LE, 6),
 		},
 	}
 	in, err := NewInstance(p)
@@ -299,7 +305,7 @@ func TestInstanceRefresh(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{1, 1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 2}, Sense: GE, RHS: 3},
+			DenseRow([]float64{1, 2}, GE, 3),
 		},
 	}
 	in, err := NewInstance(base)
@@ -312,7 +318,7 @@ func TestInstanceRefresh(t *testing.T) {
 
 	changed := base
 	changed.Objective = []float64{2, 1}
-	changed.Constraints = []Constraint{{Coeffs: []float64{1, 2}, Sense: GE, RHS: 5}}
+	changed.Constraints = []Constraint{DenseRow([]float64{1, 2}, GE, 5)}
 	if !in.Refresh(changed) {
 		t.Fatal("Refresh must accept same-structure objective/RHS change")
 	}
@@ -328,12 +334,12 @@ func TestInstanceRefresh(t *testing.T) {
 	}
 
 	structChange := base
-	structChange.Constraints = []Constraint{{Coeffs: []float64{1, 3}, Sense: GE, RHS: 3}}
+	structChange.Constraints = []Constraint{DenseRow([]float64{1, 3}, GE, 3)}
 	if in.Refresh(structChange) {
 		t.Error("Refresh must reject changed coefficients")
 	}
 	senseChange := base
-	senseChange.Constraints = []Constraint{{Coeffs: []float64{1, 2}, Sense: LE, RHS: 3}}
+	senseChange.Constraints = []Constraint{DenseRow([]float64{1, 2}, LE, 3)}
 	if in.Refresh(senseChange) {
 		t.Error("Refresh must reject changed sense")
 	}
@@ -351,7 +357,7 @@ func TestBoundedDirect(t *testing.T) {
 		Lower:     []float64{1, -3},
 		Upper:     []float64{2, -1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1}, Sense: LE, RHS: 0},
+			DenseRow([]float64{1, 1}, LE, 0),
 		},
 	}
 	sol, err := Solve(p)
@@ -367,7 +373,7 @@ func TestBoundedDirect(t *testing.T) {
 
 	// Crossed bounds are infeasible, not an error.
 	bad := Problem{NumVars: 1, Lower: []float64{2}, Upper: []float64{1},
-		Constraints: []Constraint{{Coeffs: []float64{1}, Sense: LE, RHS: 10}}}
+		Constraints: []Constraint{DenseRow([]float64{1}, LE, 10)}}
 	sol, err = Solve(bad)
 	if err != nil || sol.Status != Infeasible {
 		t.Errorf("crossed bounds: got %v %v, want infeasible", sol.Status, err)
@@ -380,7 +386,7 @@ func TestBoundedDirect(t *testing.T) {
 		Lower:     []float64{math.Inf(-1)},
 		Upper:     []float64{math.Inf(1)},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1}, Sense: GE, RHS: -7},
+			DenseRow([]float64{1}, GE, -7),
 		},
 	}
 	sol, err = Solve(free)

@@ -3,12 +3,14 @@
 // paper's MIP scheduling policies (§3.1) — Go has no native optimization
 // stack, so we build one.
 //
-// Problems are stated over bounded variables (default x >= 0) with linear
-// constraints of any sense. Solve uses the bounded revised simplex in
-// revised.go (Dantzig pricing with a Bland anti-cycling fallback, warm-
-// startable via Instance); SolveReference in reference.go keeps the original
-// dense two-phase Bland tableau as an independent oracle for differential
-// tests.
+// Problems are stated over bounded variables (default x >= 0) with sparse
+// linear constraints of any sense: each row lists its nonzero columns in
+// ascending order with their coefficients, so a row costs its nonzero count
+// whatever the variable count. Solve uses the bounded revised simplex in
+// revised.go (Dantzig pricing with a Bland anti-cycling fallback, reduced
+// costs updated row-wise, warm-startable via Instance); SolveReference in
+// reference.go keeps the original dense two-phase Bland tableau, densifying
+// the rows itself, as an independent oracle for differential tests.
 package lp
 
 import (
@@ -39,13 +41,72 @@ func (s Sense) String() string {
 	}
 }
 
-// Constraint is one linear constraint a·x (sense) b. Coeffs shorter than the
-// variable count are implicitly zero-padded.
+// Constraint is one sparse linear constraint a·x (sense) b. Index lists the
+// columns with a coefficient in strictly ascending order and Value holds
+// those coefficients in the same order; every other coefficient is zero.
+// Explicit zero values are allowed and compile to nothing.
 type Constraint struct {
-	Coeffs []float64
-	Sense  Sense
-	RHS    float64
+	Index []int32
+	Value []float64
+	Sense Sense
+	RHS   float64
 }
+
+// DenseRow builds a Constraint from a dense coefficient vector, keeping its
+// nonzero entries. It serves tests and small hand-written problems; model
+// builders append sparse rows directly (see RowBuilder).
+func DenseRow(coeffs []float64, sense Sense, rhs float64) Constraint {
+	c := Constraint{Sense: sense, RHS: rhs}
+	for j, v := range coeffs {
+		if v != 0 {
+			c.Index = append(c.Index, int32(j))
+			c.Value = append(c.Value, v)
+		}
+	}
+	return c
+}
+
+// RowBuilder appends sparse constraints whose Index and Value slices share
+// two backing slabs, so a model's rows cost a few allocations in total
+// rather than one or two each. Add a row's entries with Put in ascending
+// column order, then close the row with End.
+type RowBuilder struct {
+	rows  []Constraint
+	idx   []int32
+	val   []float64
+	start int
+}
+
+// NewRowBuilder returns a builder with room for the given row and nonzero
+// counts. The counts are capacity hints: exceeding them only reallocates.
+func NewRowBuilder(rows, nnz int) *RowBuilder {
+	return &RowBuilder{
+		rows: make([]Constraint, 0, rows),
+		idx:  make([]int32, 0, nnz),
+		val:  make([]float64, 0, nnz),
+	}
+}
+
+// Put adds coefficient v on column j to the open row.
+func (b *RowBuilder) Put(j int, v float64) {
+	b.idx = append(b.idx, int32(j))
+	b.val = append(b.val, v)
+}
+
+// End closes the open row with the given sense and right-hand side.
+func (b *RowBuilder) End(sense Sense, rhs float64) {
+	n := len(b.idx)
+	b.rows = append(b.rows, Constraint{
+		Index: b.idx[b.start:n:n],
+		Value: b.val[b.start:n:n],
+		Sense: sense,
+		RHS:   rhs,
+	})
+	b.start = n
+}
+
+// Rows returns the closed rows.
+func (b *RowBuilder) Rows() []Constraint { return b.rows }
 
 // Problem is a linear program over n bounded variables.
 type Problem struct {
@@ -152,14 +213,22 @@ func (p Problem) Validate() error {
 		}
 	}
 	for i, c := range p.Constraints {
-		if len(c.Coeffs) > p.NumVars {
-			return fmt.Errorf("%w: constraint %d has %d coeffs for %d vars", ErrBadProblem, i, len(c.Coeffs), p.NumVars)
+		if len(c.Index) != len(c.Value) {
+			return fmt.Errorf("%w: constraint %d has %d indices for %d values", ErrBadProblem, i, len(c.Index), len(c.Value))
 		}
 		if c.Sense != LE && c.Sense != GE && c.Sense != EQ {
 			return fmt.Errorf("%w: constraint %d has unknown sense %d", ErrBadProblem, i, int(c.Sense))
 		}
-		for _, v := range c.Coeffs {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
+		prev := int32(-1)
+		for k, j := range c.Index {
+			if j < 0 || int(j) >= p.NumVars {
+				return fmt.Errorf("%w: constraint %d has index %d outside [0,%d)", ErrBadProblem, i, j, p.NumVars)
+			}
+			if j <= prev {
+				return fmt.Errorf("%w: constraint %d index %d follows %d (must strictly ascend)", ErrBadProblem, i, j, prev)
+			}
+			prev = j
+			if v := c.Value[k]; math.IsNaN(v) || math.IsInf(v, 0) {
 				return fmt.Errorf("%w: constraint %d has non-finite coefficient", ErrBadProblem, i)
 			}
 		}

@@ -1,6 +1,8 @@
 package lp
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -24,16 +26,94 @@ func TestValidate(t *testing.T) {
 	bad := []Problem{
 		{},
 		{NumVars: 2, Objective: []float64{1, 2, 3}},
-		{NumVars: 1, Constraints: []Constraint{{Coeffs: []float64{1, 2}}}},
-		{NumVars: 1, Constraints: []Constraint{{Coeffs: []float64{1}, Sense: Sense(9)}}},
-		{NumVars: 1, Constraints: []Constraint{{Coeffs: []float64{math.NaN()}}}},
-		{NumVars: 1, Constraints: []Constraint{{Coeffs: []float64{1}, RHS: math.Inf(1)}}},
+		{NumVars: 1, Constraints: []Constraint{DenseRow([]float64{1, 2}, LE, 0)}},
+		{NumVars: 1, Constraints: []Constraint{DenseRow([]float64{1}, Sense(9), 0)}},
+		{NumVars: 1, Constraints: []Constraint{DenseRow([]float64{math.NaN()}, LE, 0)}},
+		{NumVars: 1, Constraints: []Constraint{DenseRow([]float64{1}, LE, math.Inf(1))}},
 		{NumVars: 1, Objective: []float64{math.NaN()}},
 	}
 	for i, p := range bad {
 		if _, err := Solve(p); err == nil {
 			t.Errorf("bad problem %d accepted", i)
 		}
+	}
+}
+
+// TestValidateSparseRows feeds Validate every malformed sparse-row shape.
+// Each must come back as ErrBadProblem, from Validate and from Solve,
+// without a panic: the compiler indexes its arrays by these entries, so
+// nothing malformed may get past validation.
+func TestValidateSparseRows(t *testing.T) {
+	row := func(idx []int32, val []float64) Problem {
+		return Problem{NumVars: 4, Objective: []float64{1, 1, 1, 1},
+			Constraints: []Constraint{
+				DenseRow([]float64{1, 1, 1, 1}, GE, 1),
+				{Index: idx, Value: val, Sense: LE, RHS: 3},
+			}}
+	}
+	cases := map[string]Problem{
+		"unsorted index":      row([]int32{2, 1}, []float64{1, 1}),
+		"duplicate index":     row([]int32{1, 1}, []float64{1, 1}),
+		"index out of range":  row([]int32{0, 4}, []float64{1, 1}),
+		"index far past end":  row([]int32{1 << 30}, []float64{1}),
+		"negative index":      row([]int32{-1, 2}, []float64{1, 1}),
+		"more values":         row([]int32{0}, []float64{1, 2}),
+		"more indices":        row([]int32{0, 1}, []float64{1}),
+		"values without idx":  row(nil, []float64{1}),
+		"NaN value":           row([]int32{0, 1}, []float64{1, math.NaN()}),
+		"+Inf value":          row([]int32{3}, []float64{math.Inf(1)}),
+		"-Inf value":          row([]int32{0, 3}, []float64{math.Inf(-1), 1}),
+		"unsorted after dups": row([]int32{0, 2, 2, 1}, []float64{1, 1, 1, 1}),
+	}
+	for name, p := range cases {
+		t.Run(name, func(t *testing.T) {
+			if err := p.Validate(); !errors.Is(err, ErrBadProblem) {
+				t.Errorf("Validate = %v, want ErrBadProblem", err)
+			}
+			if _, err := Solve(p); !errors.Is(err, ErrBadProblem) {
+				t.Errorf("Solve = %v, want ErrBadProblem", err)
+			}
+			if _, err := SolveReference(p); !errors.Is(err, ErrBadProblem) {
+				t.Errorf("SolveReference = %v, want ErrBadProblem", err)
+			}
+		})
+	}
+	// The well-formed neighbours pass: ascending indices, explicit zeros,
+	// and an empty row.
+	for _, p := range []Problem{
+		row([]int32{0, 3}, []float64{1, 1}),
+		row([]int32{1, 2}, []float64{0, 1}),
+		row(nil, nil),
+	} {
+		if err := p.Validate(); err != nil {
+			t.Errorf("valid sparse row rejected: %v", err)
+		}
+	}
+}
+
+// TestExplicitZerosCompileAway pins that a sparse row's explicit zero
+// values are dropped at compile time and ignored by Refresh: the compiled
+// instance is the one the zero-free row gives.
+func TestExplicitZerosCompileAway(t *testing.T) {
+	p := Problem{NumVars: 3, Objective: []float64{1, 2, 3},
+		Constraints: []Constraint{{Index: []int32{0, 1, 2}, Value: []float64{1, 0, 2}, Sense: GE, RHS: 1}}}
+	q := p
+	q.Constraints = []Constraint{{Index: []int32{0, 2}, Value: []float64{1, 2}, Sense: GE, RHS: 1}}
+	a, err := NewInstance(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewInstance(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ga, _ := a.GobEncode()
+	gb, _ := b.GobEncode()
+	if !bytes.Equal(ga, gb) {
+		t.Error("explicit zero changed the compiled instance")
+	}
+	if !a.Refresh(q) || !b.Refresh(p) {
+		t.Error("Refresh must treat explicit zeros as absent")
 	}
 }
 
@@ -54,9 +134,9 @@ func TestTextbookMax(t *testing.T) {
 		Objective: []float64{3, 5},
 		Maximize:  true,
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 0}, Sense: LE, RHS: 4},
-			{Coeffs: []float64{0, 2}, Sense: LE, RHS: 12},
-			{Coeffs: []float64{3, 2}, Sense: LE, RHS: 18},
+			DenseRow([]float64{1, 0}, LE, 4),
+			DenseRow([]float64{0, 2}, LE, 12),
+			DenseRow([]float64{3, 2}, LE, 18),
 		},
 	})
 	if !approx(s.Objective, 36) || !approx(s.X[0], 2) || !approx(s.X[1], 6) {
@@ -76,8 +156,8 @@ func TestDietMin(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{0.6, 1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{10, 4}, Sense: GE, RHS: 20},
-			{Coeffs: []float64{5, 5}, Sense: GE, RHS: 20},
+			DenseRow([]float64{10, 4}, GE, 20),
+			DenseRow([]float64{5, 5}, GE, 20),
 		},
 	})
 	if !approx(s.Objective, 2.4) || !approx(s.X[0], 4) || !approx(s.X[1], 0) {
@@ -91,8 +171,8 @@ func TestEqualityConstraint(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{1, 2},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1}, Sense: EQ, RHS: 10},
-			{Coeffs: []float64{1, 0}, Sense: LE, RHS: 4},
+			DenseRow([]float64{1, 1}, EQ, 10),
+			DenseRow([]float64{1, 0}, LE, 4),
 		},
 	})
 	if !approx(s.Objective, 16) || !approx(s.X[0], 4) || !approx(s.X[1], 6) {
@@ -105,8 +185,8 @@ func TestInfeasible(t *testing.T) {
 		NumVars:   1,
 		Objective: []float64{1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1}, Sense: LE, RHS: 1},
-			{Coeffs: []float64{1}, Sense: GE, RHS: 2},
+			DenseRow([]float64{1}, LE, 1),
+			DenseRow([]float64{1}, GE, 2),
 		},
 	})
 	if err != nil {
@@ -123,7 +203,7 @@ func TestUnbounded(t *testing.T) {
 		Objective: []float64{1},
 		Maximize:  true,
 		Constraints: []Constraint{
-			{Coeffs: []float64{1}, Sense: GE, RHS: 1},
+			DenseRow([]float64{1}, GE, 1),
 		},
 	})
 	if err != nil {
@@ -140,7 +220,7 @@ func TestNegativeRHSNormalized(t *testing.T) {
 		NumVars:   1,
 		Objective: []float64{1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{-1}, Sense: LE, RHS: -3},
+			DenseRow([]float64{-1}, LE, -3),
 		},
 	})
 	if !approx(s.X[0], 3) {
@@ -163,9 +243,9 @@ func TestDegenerateNoCycle(t *testing.T) {
 		NumVars:   4,
 		Objective: []float64{-0.75, 150, -0.02, 6},
 		Constraints: []Constraint{
-			{Coeffs: []float64{0.25, -60, -0.04, 9}, Sense: LE, RHS: 0},
-			{Coeffs: []float64{0.5, -90, -0.02, 3}, Sense: LE, RHS: 0},
-			{Coeffs: []float64{0, 0, 1, 0}, Sense: LE, RHS: 1},
+			DenseRow([]float64{0.25, -60, -0.04, 9}, LE, 0),
+			DenseRow([]float64{0.5, -90, -0.02, 3}, LE, 0),
+			DenseRow([]float64{0, 0, 1, 0}, LE, 1),
 		},
 	})
 	if !approx(s.Objective, -0.05) {
@@ -174,12 +254,13 @@ func TestDegenerateNoCycle(t *testing.T) {
 }
 
 func TestZeroPaddedCoeffs(t *testing.T) {
-	// Short coefficient slices are zero padded.
+	// A dense row shorter than NumVars leaves the rest of its coefficients
+	// zero.
 	s := solveOK(t, Problem{
 		NumVars:   3,
 		Objective: []float64{1}, // only x0 costs
 		Constraints: []Constraint{
-			{Coeffs: []float64{1}, Sense: GE, RHS: 2},
+			DenseRow([]float64{1}, GE, 2),
 		},
 	})
 	if !approx(s.X[0], 2) || !approx(s.Objective, 2) {
@@ -196,9 +277,9 @@ func TestMinimaxPattern(t *testing.T) {
 		NumVars:   3, // x1, x2, t
 		Objective: []float64{0, 0, 1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1, 0}, Sense: EQ, RHS: 10},
-			{Coeffs: []float64{1, 0, -1}, Sense: LE, RHS: 0},
-			{Coeffs: []float64{0, 1, -1}, Sense: LE, RHS: 0},
+			DenseRow([]float64{1, 1, 0}, EQ, 10),
+			DenseRow([]float64{1, 0, -1}, LE, 0),
+			DenseRow([]float64{0, 1, -1}, LE, 0),
 		},
 	})
 	if !approx(s.Objective, 5) {
@@ -213,8 +294,8 @@ func TestRedundantEquality(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{1, 1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1}, Sense: EQ, RHS: 4},
-			{Coeffs: []float64{2, 2}, Sense: EQ, RHS: 8},
+			DenseRow([]float64{1, 1}, EQ, 4),
+			DenseRow([]float64{2, 2}, EQ, 8),
 		},
 	})
 	if !approx(s.Objective, 4) {
@@ -235,11 +316,11 @@ func TestLargerTransportProblem(t *testing.T) {
 		NumVars:   6, // x11 x12 x13 x21 x22 x23
 		Objective: []float64{8, 6, 10, 9, 12, 13},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1, 1, 0, 0, 0}, Sense: LE, RHS: 20},
-			{Coeffs: []float64{0, 0, 0, 1, 1, 1}, Sense: LE, RHS: 30},
-			{Coeffs: []float64{1, 0, 0, 1, 0, 0}, Sense: GE, RHS: 10},
-			{Coeffs: []float64{0, 1, 0, 0, 1, 0}, Sense: GE, RHS: 25},
-			{Coeffs: []float64{0, 0, 1, 0, 0, 1}, Sense: GE, RHS: 15},
+			DenseRow([]float64{1, 1, 1, 0, 0, 0}, LE, 20),
+			DenseRow([]float64{0, 0, 0, 1, 1, 1}, LE, 30),
+			DenseRow([]float64{1, 0, 0, 1, 0, 0}, GE, 10),
+			DenseRow([]float64{0, 1, 0, 0, 1, 0}, GE, 25),
+			DenseRow([]float64{0, 0, 1, 0, 0, 1}, GE, 15),
 		},
 	}
 	s := solveOK(t, p)
@@ -280,13 +361,13 @@ func TestPropSolverBeatsKnownPoint(t *testing.T) {
 		for i := 0; i < n; i++ {
 			coef := make([]float64, n)
 			coef[i] = 1
-			cons = append(cons, Constraint{Coeffs: coef, Sense: LE, RHS: u[i]})
+			cons = append(cons, DenseRow(coef, LE, u[i]))
 		}
 		all := make([]float64, n)
 		for i := range all {
 			all[i] = 1
 		}
-		cons = append(cons, Constraint{Coeffs: all, Sense: GE, RHS: s})
+		cons = append(cons, DenseRow(all, GE, s))
 		sol, err := Solve(Problem{NumVars: n, Objective: c, Constraints: cons})
 		if err != nil || sol.Status != Optimal {
 			return false
@@ -336,9 +417,9 @@ func TestPropNoLatticePointBeatsOptimum(t *testing.T) {
 		for i := 0; i < n; i++ {
 			coef := make([]float64, n)
 			coef[i] = 1
-			cons = append(cons, Constraint{Coeffs: coef, Sense: LE, RHS: u[i]})
+			cons = append(cons, DenseRow(coef, LE, u[i]))
 		}
-		cons = append(cons, Constraint{Coeffs: a, Sense: GE, RHS: b})
+		cons = append(cons, DenseRow(a, GE, b))
 		sol, err := Solve(Problem{NumVars: n, Objective: c, Constraints: cons})
 		if err != nil || sol.Status != Optimal {
 			return false

@@ -33,7 +33,7 @@ func SolveReference(p Problem) (Solution, error) {
 	off := make([]float64, n)
 	sign := make([]float64, n)
 	cols := 0
-	var extra []Constraint
+	var extra []denseRow
 	for j := 0; j < n; j++ {
 		lo, hi := p.LowerOf(j), p.UpperOf(j)
 		if lo > hi+eps {
@@ -48,7 +48,7 @@ func SolveReference(p Problem) (Solution, error) {
 			if !math.IsInf(hi, 1) {
 				co := make([]float64, pos[j]+1)
 				co[pos[j]] = 1
-				extra = append(extra, Constraint{Coeffs: co, Sense: LE, RHS: hi - lo})
+				extra = append(extra, denseRow{coeffs: co, sense: LE, rhs: hi - lo})
 			}
 		case !math.IsInf(hi, 1):
 			// x = hi - x', x' >= 0.
@@ -61,10 +61,10 @@ func SolveReference(p Problem) (Solution, error) {
 			cols += 2
 		}
 	}
-	q := Problem{
-		NumVars:   cols,
-		Objective: make([]float64, cols),
-		Maximize:  p.Maximize,
+	q := denseProblem{
+		numVars:   cols,
+		objective: make([]float64, cols),
+		maximize:  p.Maximize,
 	}
 	objOff := 0.0
 	for j, c := range p.Objective {
@@ -72,15 +72,16 @@ func SolveReference(p Problem) (Solution, error) {
 			continue
 		}
 		objOff += c * off[j]
-		q.Objective[pos[j]] += c * sign[j]
+		q.objective[pos[j]] += c * sign[j]
 		if neg[j] >= 0 {
-			q.Objective[neg[j]] -= c
+			q.objective[neg[j]] -= c
 		}
 	}
 	for _, c := range p.Constraints {
 		co := make([]float64, cols)
 		rhs := c.RHS
-		for j, v := range c.Coeffs {
+		for t, j32 := range c.Index {
+			j, v := int(j32), c.Value[t]
 			if v == 0 {
 				continue
 			}
@@ -90,9 +91,9 @@ func SolveReference(p Problem) (Solution, error) {
 				co[neg[j]] -= v
 			}
 		}
-		q.Constraints = append(q.Constraints, Constraint{Coeffs: co, Sense: c.Sense, RHS: rhs})
+		q.rows = append(q.rows, denseRow{coeffs: co, sense: c.Sense, rhs: rhs})
 	}
-	q.Constraints = append(q.Constraints, extra...)
+	q.rows = append(q.rows, extra...)
 
 	sol, err := solveTableau(q)
 	if err != nil || sol.Status != Optimal {
@@ -126,9 +127,28 @@ type tableau struct {
 	npiv    int64
 }
 
+// denseProblem is the reference solver's own problem form: nonnegative
+// variables and dense constraint rows. SolveReference densifies the sparse
+// Problem into it, keeping the oracle independent of the revised solver's
+// data structures.
+type denseProblem struct {
+	numVars   int
+	objective []float64
+	maximize  bool
+	rows      []denseRow
+}
+
+// denseRow is one dense constraint; a row shorter than numVars is
+// zero-padded.
+type denseRow struct {
+	coeffs []float64
+	sense  Sense
+	rhs    float64
+}
+
 // solveTableau runs the legacy two-phase simplex on a nonnegative-variable
 // problem (bounds ignored; callers reduce them away first).
-func solveTableau(p Problem) (Solution, error) {
+func solveTableau(p denseProblem) (Solution, error) {
 	t := build(p)
 
 	// Phase 1: drive artificials to zero.
@@ -149,8 +169,8 @@ func solveTableau(p Problem) (Solution, error) {
 
 	// Phase 2: original objective (as minimization).
 	obj := make([]float64, t.n)
-	for j, c := range p.Objective {
-		if p.Maximize {
+	for j, c := range p.objective {
+		if p.maximize {
 			obj[j] = -c
 		} else {
 			obj[j] = c
@@ -169,13 +189,13 @@ func solveTableau(p Problem) (Solution, error) {
 		return Solution{}, err
 	}
 
-	x := make([]float64, p.NumVars)
+	x := make([]float64, p.numVars)
 	for i, b := range t.basis {
 		if b < t.nStruct {
 			x[b] = t.rhs[i]
 		}
 	}
-	if p.Maximize {
+	if p.maximize {
 		val = -val
 	}
 	return Solution{Status: Optimal, X: x, Objective: val, Pivots: t.npiv}, nil
@@ -183,13 +203,13 @@ func solveTableau(p Problem) (Solution, error) {
 
 // build constructs the initial tableau with slack and artificial columns and
 // a feasible starting basis.
-func build(p Problem) *tableau {
-	m := len(p.Constraints)
+func build(p denseProblem) *tableau {
+	m := len(p.rows)
 	// Count slack and artificial columns.
 	nSlack, nArt := 0, 0
-	for _, c := range p.Constraints {
-		rhs := c.RHS
-		sense := c.Sense
+	for _, c := range p.rows {
+		rhs := c.rhs
+		sense := c.sense
 		if rhs < 0 {
 			sense = flip(sense)
 		}
@@ -203,29 +223,29 @@ func build(p Problem) *tableau {
 			nArt++
 		}
 	}
-	n := p.NumVars + nSlack + nArt
+	n := p.numVars + nSlack + nArt
 	t := &tableau{
 		m:       m,
 		n:       n,
-		nStruct: p.NumVars,
+		nStruct: p.numVars,
 		nArt:    nArt,
 		a:       make([][]float64, m),
 		rhs:     make([]float64, m),
 		basis:   make([]int, m),
 	}
-	slackCol := p.NumVars
-	artCol := p.NumVars + nSlack
-	for i, c := range p.Constraints {
+	slackCol := p.numVars
+	artCol := p.numVars + nSlack
+	for i, c := range p.rows {
 		row := make([]float64, n)
 		sign := 1.0
-		sense := c.Sense
-		rhs := c.RHS
+		sense := c.sense
+		rhs := c.rhs
 		if rhs < 0 {
 			sign = -1
 			rhs = -rhs
 			sense = flip(sense)
 		}
-		for j, v := range c.Coeffs {
+		for j, v := range c.coeffs {
 			row[j] = sign * v
 		}
 		t.rhs[i] = rhs

@@ -67,7 +67,8 @@ type Instance struct {
 	colRow []int32
 	colVal []float64
 	// Row-major mirror of the same nonzeros: Refresh uses it to verify
-	// structural equality, and the residual check to evaluate rows.
+	// structural equality, the residual check to evaluate rows, and the
+	// phase-2 reduced-cost update to form a row of B⁻¹N.
 	rowPtr []int32
 	rowCol []int32
 	rowVal []float64
@@ -86,6 +87,9 @@ type Instance struct {
 	w          []float64 // m, FTRAN result B⁻¹A_q
 	y          []float64 // m, BTRAN result
 	rowScratch []float64 // m, row of B⁻¹ for the incremental price update
+	alpha      []float64 // nStruct, row of B⁻¹N being accumulated; all +0 between updates
+	touched    []int32   // columns given an alpha entry by the current update
+	seen       []int8    // nStruct, 1 for the columns listed in touched
 	valScratch []float64 // n, full value vector for residual/objective sweeps
 	d          []float64 // n, reduced costs (maintained incrementally in phase 2)
 	dExact     bool
@@ -126,30 +130,26 @@ func NewInstance(p Problem) (*Instance, error) {
 	n := ns + m
 	in := &Instance{
 		m: m, nStruct: ns, n: n,
-		maximize:   p.Maximize,
-		cmin:       make([]float64, n),
-		b:          make([]float64, m),
-		senses:     make([]Sense, m),
-		baseLo:     make([]float64, n),
-		baseHi:     make([]float64, n),
-		lo:         make([]float64, n),
-		hi:         make([]float64, n),
-		basis:      make([]int32, m),
-		vstat:      make([]int8, n),
-		fac:        newSparseLU(m),
-		xB:         make([]float64, m),
-		accum:      make([]float64, m),
-		w:          make([]float64, m),
-		y:          make([]float64, m),
-		rowScratch: make([]float64, m),
-		valScratch: make([]float64, n),
-		d:          make([]float64, n),
-		cb1:        make([]int8, m),
+		maximize: p.Maximize,
+		cmin:     make([]float64, n),
+		b:        make([]float64, m),
+		senses:   make([]Sense, m),
+		baseLo:   make([]float64, n),
+		baseHi:   make([]float64, n),
+		lo:       make([]float64, n),
+		hi:       make([]float64, n),
+		basis:    make([]int32, m),
+		vstat:    make([]int8, n),
+		fac:      newSparseLU(m),
+		xB:       make([]float64, m),
+		d:        make([]float64, n),
 	}
-	// Count nonzeros, then fill CSC and the row-major mirror.
+	in.allocScratch()
+	// Count nonzeros, then fill the row-major mirror and CSC. Explicit zero
+	// values are dropped, so the compiled pattern is the true nonzero set.
 	nnz := 0
 	for _, c := range p.Constraints {
-		for _, v := range c.Coeffs {
+		for _, v := range c.Value {
 			if v != 0 {
 				nnz++
 			}
@@ -164,10 +164,11 @@ func NewInstance(p Problem) (*Instance, error) {
 	counts := make([]int32, ns)
 	k := 0
 	for i, c := range p.Constraints {
-		for j, v := range c.Coeffs {
+		for t, v := range c.Value {
 			if v != 0 {
+				j := c.Index[t]
 				counts[j]++
-				in.rowCol[k] = int32(j)
+				in.rowCol[k] = j
 				in.rowVal[k] = v
 				k++
 			}
@@ -177,20 +178,39 @@ func NewInstance(p Problem) (*Instance, error) {
 	for j := 0; j < ns; j++ {
 		in.colPtr[j+1] = in.colPtr[j] + counts[j]
 	}
-	fill := make([]int32, ns)
-	copy(fill, in.colPtr[:ns])
-	for i, c := range p.Constraints {
-		for j, v := range c.Coeffs {
-			if v != 0 {
-				in.colRow[fill[j]] = int32(i)
-				in.colVal[fill[j]] = v
-				fill[j]++
-			}
+	// Scatter the row mirror into columns; rows are visited in ascending
+	// order, so every column lists its rows ascending. counts becomes the
+	// per-column fill cursor.
+	copy(counts, in.colPtr[:ns])
+	for i := 0; i < m; i++ {
+		for k := in.rowPtr[i]; k < in.rowPtr[i+1]; k++ {
+			j := in.rowCol[k]
+			in.colRow[counts[j]] = int32(i)
+			in.colVal[counts[j]] = in.rowVal[k]
+			counts[j]++
 		}
-		_ = i
 	}
 	in.loadData(p)
 	return in, nil
+}
+
+// allocScratch carves the per-iteration scratch arrays out of three slabs
+// (float64, int32, int8), each slice capped at its own length so none can
+// grow into its neighbour. Every array starts zeroed, which the row-wise
+// pricing update relies on for alpha and seen.
+func (in *Instance) allocScratch() {
+	m, n, ns := in.m, in.n, in.nStruct
+	f := make([]float64, 4*m+n+ns)
+	carve := func(k int) []float64 {
+		s := f[:k:k]
+		f = f[k:]
+		return s
+	}
+	in.accum, in.w, in.y, in.rowScratch = carve(m), carve(m), carve(m), carve(m)
+	in.valScratch, in.alpha = carve(n), carve(ns)
+	in.touched = make([]int32, 0, ns)
+	b := make([]int8, m+ns)
+	in.cb1, in.seen = b[:m:m], b[m:]
 }
 
 // NewInstanceDense compiles p like NewInstance but installs the legacy
@@ -256,16 +276,16 @@ func (in *Instance) Refresh(p Problem) bool {
 		return false
 	}
 	for i, c := range p.Constraints {
-		if c.Sense != in.senses[i] {
+		if c.Sense != in.senses[i] || len(c.Index) != len(c.Value) {
 			return false
 		}
 		k := in.rowPtr[i]
 		end := in.rowPtr[i+1]
-		for j, v := range c.Coeffs {
+		for t, v := range c.Value {
 			if v == 0 {
 				continue
 			}
-			if k == end || in.rowCol[k] != int32(j) || in.rowVal[k] != v {
+			if k == end || in.rowCol[k] != c.Index[t] || in.rowVal[k] != v {
 				return false
 			}
 			k++
@@ -738,14 +758,14 @@ func (in *Instance) applyStep(enter, dir int, t float64, leave int, toUpper, fli
 	v := in.value(enter) + float64(dir)*t
 	out := in.basis[leave]
 	if trackD {
-		in.updateD(leave, enter, int(out))
+		pivotUpdateD(in, leave, enter, int(out))
 	}
+	// The leaving variable's value is henceforth implied by its status:
+	// exactly the bound it hit.
 	if toUpper {
 		in.vstat[out] = vsUpper
-		in.xBSnap(leave, in.hi[out])
 	} else {
 		in.vstat[out] = vsLower
-		in.xBSnap(leave, in.lo[out])
 	}
 	in.basis[leave] = int32(enter)
 	in.vstat[enter] = vsBasic
@@ -762,13 +782,21 @@ func (in *Instance) applyStep(enter, dir int, t float64, leave int, toUpper, fli
 	in.pivots++
 }
 
-// xBSnap is a no-op hook documenting that the leaving variable's value is
-// snapped exactly to its bound (its value is henceforth implied by vstat).
-func (in *Instance) xBSnap(row int, bound float64) { _ = row; _ = bound }
+// pivotUpdateD is the reduced-cost update applyStep runs on every phase-2
+// pivot. It is a variable only so tests can wrap it and check each pivot's
+// reduced costs bit for bit against the column-wise reference.
+var pivotUpdateD = (*Instance).updateD
 
 // updateD maintains the phase-2 reduced costs across the pivot on row
 // `leave` with entering column `enter`: d'_j = d_j - (d_q/w_r)·α_rj where
-// α_r is row r of B⁻¹N, computed sparsely from the pre-pivot basis inverse.
+// α_r = ρ_r·N and ρ_r is row r of the pre-pivot basis inverse.
+//
+// α_r is accumulated row-wise over the nonzeros of ρ_r through the row
+// mirror, so rows with ρ_ri == 0 cost nothing. Each α_rj is the same sum a
+// column-wise dot product would form: the same products, added in
+// ascending row order, starting from +0. The skipped rows would only add
+// ±0 products, which leave any sum that started at +0 unchanged, so the
+// result is bit-identical to the column-wise update.
 func (in *Instance) updateD(leave, enter, out int) {
 	m := in.m
 	ratio := in.d[enter] / in.w[leave]
@@ -779,14 +807,32 @@ func (in *Instance) updateD(leave, enter, out int) {
 	}
 	rowR := in.rowScratch[:m]
 	in.fac.rowOfInverse(leave, rowR)
-	for j := 0; j < in.n; j++ {
-		if in.vstat[j] == vsBasic || j == enter {
+	alpha, seen, touched := in.alpha, in.seen, in.touched[:0]
+	for i, ri := range rowR {
+		if ri == 0 {
 			continue
 		}
-		if alpha := in.colDot(rowR, j); alpha != 0 {
-			in.d[j] -= ratio * alpha
+		for k := in.rowPtr[i]; k < in.rowPtr[i+1]; k++ {
+			j := in.rowCol[k]
+			if seen[j] == 0 {
+				seen[j] = 1
+				touched = append(touched, j)
+			}
+			alpha[j] += ri * in.rowVal[k]
+		}
+		// Slack column nStruct+i is e_i: its α entry is ρ_ri itself.
+		if j := in.nStruct + i; in.vstat[j] != vsBasic && j != enter {
+			in.d[j] -= ratio * ri
 		}
 	}
+	for _, j32 := range touched {
+		j := int(j32)
+		if a := alpha[j]; a != 0 && in.vstat[j] != vsBasic && j != enter {
+			in.d[j] -= ratio * a
+		}
+		alpha[j], seen[j] = 0, 0
+	}
+	in.touched = touched
 	in.d[enter] = 0
 	in.d[out] = -ratio
 }

@@ -75,21 +75,22 @@ func degenerateProblem(rng *rand.Rand, n int) Problem {
 	m := 2 + rng.Intn(n)
 	rhs := float64(1 + rng.Intn(3)) // one shared RHS: mass degeneracy
 	for i := 0; i < m; i++ {
-		c := Constraint{Coeffs: make([]float64, n), Sense: Sense(rng.Intn(3)), RHS: rhs}
+		co := make([]float64, n)
+		c := Constraint{Sense: Sense(rng.Intn(3)), RHS: rhs}
 		nz := 0
-		for j := range c.Coeffs {
+		for j := range co {
 			if rng.Intn(2) == 0 {
-				c.Coeffs[j] = float64(1 + rng.Intn(2)) // coefficients in {1,2}
+				co[j] = float64(1 + rng.Intn(2)) // coefficients in {1,2}
 				nz++
 			}
 		}
 		if nz == 0 {
-			c.Coeffs[rng.Intn(n)] = 1
+			co[rng.Intn(n)] = 1
 		}
 		if c.Sense == GE {
 			c.RHS = 0 // GE rows trivially satisfiable but still degenerate
 		}
-		p.Constraints = append(p.Constraints, c)
+		p.Constraints = append(p.Constraints, DenseRow(co, c.Sense, c.RHS))
 	}
 	return p
 }
@@ -105,34 +106,41 @@ func TestSparseIllConditioned(t *testing.T) {
 	}
 	for s := 0; s < iters; s++ {
 		rng := rand.New(rand.NewSource(int64(7_000_000 + s)))
-		n := 2 + rng.Intn(6)
-		m := 2 + rng.Intn(6)
-		p := Problem{
-			NumVars:   n,
-			Objective: make([]float64, n),
-			Upper:     make([]float64, n),
-		}
-		for j := 0; j < n; j++ {
-			p.Objective[j] = rng.NormFloat64()
-			p.Upper[j] = 1 + rng.Float64()*9
-		}
-		for i := 0; i < m; i++ {
-			c := Constraint{Coeffs: make([]float64, n), Sense: LE, RHS: 1 + rng.Float64()*10}
-			nz := 0
-			for j := range c.Coeffs {
-				if rng.Intn(2) == 0 {
-					scale := math.Pow(10, float64(rng.Intn(7)-3)) // 1e-3 .. 1e3
-					c.Coeffs[j] = (1 + rng.Float64()) * scale
-					nz++
-				}
-			}
-			if nz == 0 {
-				c.Coeffs[rng.Intn(n)] = 1
-			}
-			p.Constraints = append(p.Constraints, c)
-		}
-		checkAgainstReference(t, p, int64(s))
+		checkAgainstReference(t, illConditionedProblem(rng), int64(s))
 	}
+}
+
+// illConditionedProblem draws a small LE-only LP whose coefficient
+// magnitudes spread across six orders.
+func illConditionedProblem(rng *rand.Rand) Problem {
+	n := 2 + rng.Intn(6)
+	m := 2 + rng.Intn(6)
+	p := Problem{
+		NumVars:   n,
+		Objective: make([]float64, n),
+		Upper:     make([]float64, n),
+	}
+	for j := 0; j < n; j++ {
+		p.Objective[j] = rng.NormFloat64()
+		p.Upper[j] = 1 + rng.Float64()*9
+	}
+	for i := 0; i < m; i++ {
+		rhs := 1 + rng.Float64()*10
+		co := make([]float64, n)
+		nz := 0
+		for j := range co {
+			if rng.Intn(2) == 0 {
+				scale := math.Pow(10, float64(rng.Intn(7)-3)) // 1e-3 .. 1e3
+				co[j] = (1 + rng.Float64()) * scale
+				nz++
+			}
+		}
+		if nz == 0 {
+			co[rng.Intn(n)] = 1
+		}
+		p.Constraints = append(p.Constraints, DenseRow(co, LE, rhs))
+	}
+	return p
 }
 
 // TestSparseWarmChain exercises a long warm-started solve sequence on one

@@ -31,8 +31,9 @@ const (
 )
 
 // instanceState mirrors every Instance field that outlives a solve. The
-// scratch arrays (accum, w, y, rowScratch, valScratch, cb1) are overwritten before
-// every use and are reallocated empty on decode.
+// scratch arrays (accum, w, y, rowScratch, valScratch, cb1 and the pricing
+// scratch) are overwritten before every use and are reallocated empty on
+// decode.
 type instanceState struct {
 	M, NStruct int
 	Maximize   bool
@@ -141,6 +142,12 @@ func (in *Instance) GobDecode(b []byte) error {
 			return fmt.Errorf("lp: decoded instance %s has %d entries, want %d", c.name, c.got, c.want)
 		}
 	}
+	if err := checkPattern("column", st.ColPtr, st.ColRow, len(st.ColVal), m); err != nil {
+		return err
+	}
+	if err := checkPattern("row", st.RowPtr, st.RowCol, len(st.RowVal), ns); err != nil {
+		return err
+	}
 	fac, err := decodeFactor(&st, m)
 	if err != nil {
 		return err
@@ -157,13 +164,8 @@ func (in *Instance) GobDecode(b []byte) error {
 		xB:  st.XB, ready: st.Ready,
 		d: st.D, dExact: st.DExact,
 		pivots: st.Pivots, refactors: st.Refactors,
-		accum:      make([]float64, m),
-		w:          make([]float64, m),
-		y:          make([]float64, m),
-		rowScratch: make([]float64, m),
-		valScratch: make([]float64, n),
-		cb1:        make([]int8, m),
 	}
+	in.allocScratch()
 	return nil
 }
 
@@ -246,6 +248,28 @@ func decodeFactor(st *instanceState, m int) (factorizer, error) {
 		etaPtr: st.EtaPtr, etaIdx: nonNilI(st.EtaIdx), etaVal: nonNilF(st.EtaVal),
 		work: make([]float64, m),
 	}, nil
+}
+
+// checkPattern validates one compressed side of the decoded constraint
+// matrix: ptr starts at zero, never decreases and ends at the index count,
+// values parallel the indices, and every index lies in [0, bound). The
+// solver indexes its scratch by these entries, so a corrupt payload must
+// fail here rather than panic mid-solve.
+func checkPattern(name string, ptr, idx []int32, nval, bound int) error {
+	if ptr[0] != 0 || int(ptr[len(ptr)-1]) != len(idx) || nval != len(idx) {
+		return fmt.Errorf("lp: decoded instance %s pointers inconsistent with index arrays", name)
+	}
+	for i := 1; i < len(ptr); i++ {
+		if ptr[i] < ptr[i-1] {
+			return fmt.Errorf("lp: decoded instance %s pointers decrease", name)
+		}
+	}
+	for _, r := range idx {
+		if r < 0 || int(r) >= bound {
+			return fmt.Errorf("lp: decoded instance %s index %d out of range [0,%d)", name, r, bound)
+		}
+	}
+	return nil
 }
 
 func nonNilF(s []float64) []float64 {

@@ -222,7 +222,7 @@ func TestInstanceDecodeRejectsCorrupt(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{1, 1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1}, Sense: LE, RHS: 4},
+			DenseRow([]float64{1, 1}, LE, 4),
 		},
 	}
 	inst, err := NewInstance(p)
@@ -271,6 +271,15 @@ func TestInstanceDecodeRejectsCorrupt(t *testing.T) {
 			st.EtaRow = append(st.EtaRow, 0)
 			st.EtaPiv = append(st.EtaPiv, 1)
 		}},
+		// The row mirror indexes the pricing scratch (nStruct wide) and the
+		// columns index the rows: a slack or out-of-range index must fail
+		// here, not panic in the first pivot.
+		{"row index is a slack", func(st *instanceState) { st.RowCol[0] = int32(st.NStruct) }},
+		{"negative row index", func(st *instanceState) { st.RowCol[1] = -1 }},
+		{"column row out of range", func(st *instanceState) { st.ColRow[0] = int32(st.M) }},
+		{"row ptr past end", func(st *instanceState) { st.RowPtr[st.M] = int32(len(st.RowCol) + 1) }},
+		{"col ptr out of order", func(st *instanceState) { st.ColPtr[1], st.ColPtr[2] = 2, 1 }},
+		{"row values short", func(st *instanceState) { st.RowVal = st.RowVal[:1] }},
 	} {
 		if err := new(Instance).GobDecode(encode(c.mutate)); err == nil {
 			t.Errorf("%s: corrupt sparse payload should fail to decode", c.name)
@@ -293,17 +302,18 @@ func randomStateProblem(rng *rand.Rand) Problem {
 		p.Upper[j] = 1 + rng.Float64()*9
 	}
 	for i := 0; i < m; i++ {
-		c := Constraint{Coeffs: make([]float64, n), Sense: LE, RHS: 2 + rng.Float64()*10}
+		co := make([]float64, n)
+		c := Constraint{Sense: LE, RHS: 2 + rng.Float64()*10}
 		if rng.IntN(3) == 0 {
 			c.Sense = GE
 			c.RHS = rng.Float64()
 		}
 		for j := 0; j < n; j++ {
 			if rng.IntN(2) == 0 {
-				c.Coeffs[j] = rng.Float64() * 3
+				co[j] = rng.Float64() * 3
 			}
 		}
-		p.Constraints = append(p.Constraints, c)
+		p.Constraints = append(p.Constraints, DenseRow(co, c.Sense, c.RHS))
 	}
 	return p
 }

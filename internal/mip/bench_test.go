@@ -33,27 +33,28 @@ func benchMIP(nCont, nBin, nRows int, seed int64) Problem {
 		p.Integer[j] = true
 	}
 	for i := 0; i < nRows; i++ {
-		c := lp.Constraint{Coeffs: make([]float64, n)}
+		co := make([]float64, n)
+		c := lp.Constraint{}
 		switch i % 3 {
 		case 0: // demand across a few continuous columns
 			for k := 0; k < 4; k++ {
-				c.Coeffs[rng.Intn(nCont)] = 1
+				co[rng.Intn(nCont)] = 1
 			}
 			c.Sense = lp.GE
 			c.RHS = 10 + rng.Float64()*20
 		case 1: // linking: a continuous column only usable when its bit is on
-			c.Coeffs[rng.Intn(nCont)] = 1
-			c.Coeffs[nCont+rng.Intn(nBin)] = -40
+			co[rng.Intn(nCont)] = 1
+			co[nCont+rng.Intn(nBin)] = -40
 			c.Sense = lp.LE
 			c.RHS = 0
 		default: // cardinality pressure on the binaries
 			for j := nCont; j < n; j++ {
-				c.Coeffs[j] = 1
+				co[j] = 1
 			}
 			c.Sense = lp.LE
 			c.RHS = float64(1 + nBin/2)
 		}
-		p.Constraints = append(p.Constraints, c)
+		p.Constraints = append(p.Constraints, lp.DenseRow(co, c.Sense, c.RHS))
 	}
 	return p
 }

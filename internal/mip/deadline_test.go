@@ -18,7 +18,7 @@ func knapsackProblem() Problem {
 			NumVars:     3,
 			Objective:   []float64{5, 4, 3},
 			Maximize:    true,
-			Constraints: []lp.Constraint{{Coeffs: []float64{2, 3, 1}, Sense: lp.LE, RHS: 3}},
+			Constraints: []lp.Constraint{lp.DenseRow([]float64{2, 3, 1}, lp.LE, 3)},
 			Upper:       []float64{1, 1, 1},
 		},
 		Integer: []bool{true, true, true},
@@ -145,9 +145,9 @@ func TestSolveRelaxationRoundedInfeasibleRounding(t *testing.T) {
 			NumVars:   2,
 			Objective: []float64{1, 1},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{1, 0}, Sense: lp.GE, RHS: 0.5},
-				{Coeffs: []float64{0, 1}, Sense: lp.GE, RHS: 0.5},
-				{Coeffs: []float64{1, 1}, Sense: lp.LE, RHS: 1},
+				lp.DenseRow([]float64{1, 0}, lp.GE, 0.5),
+				lp.DenseRow([]float64{0, 1}, lp.GE, 0.5),
+				lp.DenseRow([]float64{1, 1}, lp.LE, 1),
 			},
 			Upper: []float64{1, 1},
 		},
@@ -183,7 +183,7 @@ func TestDeadlineMidSearchKeepsBestIncumbent(t *testing.T) {
 			NumVars:     n,
 			Objective:   obj,
 			Maximize:    true,
-			Constraints: []lp.Constraint{{Coeffs: row, Sense: lp.LE, RHS: 17}},
+			Constraints: []lp.Constraint{lp.DenseRow(row, lp.LE, 17)},
 			Upper:       upper,
 		},
 		Integer: integer,

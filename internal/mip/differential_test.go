@@ -40,24 +40,25 @@ func randomMIP(rng *rand.Rand) Problem {
 		}
 	}
 	for i := 0; i < m; i++ {
-		c := lp.Constraint{Coeffs: make([]float64, n), Sense: lp.Sense(rng.Intn(3))}
+		co := make([]float64, n)
+		c := lp.Constraint{Sense: lp.Sense(rng.Intn(3))}
 		nz := 0
-		for j := range c.Coeffs {
+		for j := range co {
 			if rng.Intn(3) > 0 {
-				c.Coeffs[j] = math.Round(rng.NormFloat64()*8) / 4
-				if c.Coeffs[j] != 0 {
+				co[j] = math.Round(rng.NormFloat64()*8) / 4
+				if co[j] != 0 {
 					nz++
 				}
 			}
 		}
 		if nz == 0 {
-			c.Coeffs[rng.Intn(n)] = 1
+			co[rng.Intn(n)] = 1
 		}
 		c.RHS = math.Round(rng.NormFloat64()*15) / 4
 		if c.Sense == lp.LE && c.RHS < 0 && rng.Intn(2) == 0 {
 			c.RHS = -c.RHS
 		}
-		p.Constraints = append(p.Constraints, c)
+		p.Constraints = append(p.Constraints, lp.DenseRow(co, c.Sense, c.RHS))
 	}
 	return p
 }
@@ -111,8 +112,8 @@ func TestDifferentialMIP(t *testing.T) {
 		}
 		for i, c := range p.Constraints {
 			lhs := 0.0
-			for j, v := range c.Coeffs {
-				lhs += v * got.X[j]
+			for k, j := range c.Index {
+				lhs += c.Value[k] * got.X[j]
 			}
 			bad := false
 			switch c.Sense {
@@ -140,9 +141,9 @@ func TestWarmStateReuse(t *testing.T) {
 			Objective: []float64{5, 4, 3},
 			Maximize:  true,
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{2, 3, 1}, Sense: lp.LE, RHS: 5},
-				{Coeffs: []float64{4, 1, 2}, Sense: lp.LE, RHS: 11},
-				{Coeffs: []float64{3, 4, 2}, Sense: lp.LE, RHS: 8},
+				lp.DenseRow([]float64{2, 3, 1}, lp.LE, 5),
+				lp.DenseRow([]float64{4, 1, 2}, lp.LE, 11),
+				lp.DenseRow([]float64{3, 4, 2}, lp.LE, 8),
 			},
 		},
 		Integer: []bool{true, false, false},
@@ -176,7 +177,7 @@ func TestWarmStateReuse(t *testing.T) {
 	// RHS change: still a hit (basis kept), result matches a cold solve.
 	changed := p
 	changed.Constraints = append([]lp.Constraint(nil), p.Constraints...)
-	changed.Constraints[0] = lp.Constraint{Coeffs: []float64{2, 3, 1}, Sense: lp.LE, RHS: 4}
+	changed.Constraints[0] = lp.DenseRow([]float64{2, 3, 1}, lp.LE, 4)
 	warmRHS, err := Solve(changed, Options{Warm: warm})
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +196,7 @@ func TestWarmStateReuse(t *testing.T) {
 	// Coefficient change: structural miss, state recompiled, still correct.
 	struc := p
 	struc.Constraints = append([]lp.Constraint(nil), p.Constraints...)
-	struc.Constraints[1] = lp.Constraint{Coeffs: []float64{4, 2, 2}, Sense: lp.LE, RHS: 11}
+	struc.Constraints[1] = lp.DenseRow([]float64{4, 2, 2}, lp.LE, 11)
 	miss, err := Solve(struc, Options{Warm: warm})
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +245,7 @@ func TestGapPruneOnPop(t *testing.T) {
 		p.Upper[j] = 1
 		p.Integer[j] = true
 	}
-	p.Constraints = []lp.Constraint{{Coeffs: weights, Sense: lp.LE, RHS: 20}}
+	p.Constraints = []lp.Constraint{lp.DenseRow(weights, lp.LE, 20)}
 
 	exact, err := Solve(p, Options{})
 	if err != nil {

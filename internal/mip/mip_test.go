@@ -28,9 +28,9 @@ func TestPureLPPassThrough(t *testing.T) {
 			Objective: []float64{3, 5},
 			Maximize:  true,
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{1, 0}, Sense: lp.LE, RHS: 4},
-				{Coeffs: []float64{0, 2}, Sense: lp.LE, RHS: 12},
-				{Coeffs: []float64{3, 2}, Sense: lp.LE, RHS: 18},
+				lp.DenseRow([]float64{1, 0}, lp.LE, 4),
+				lp.DenseRow([]float64{0, 2}, lp.LE, 12),
+				lp.DenseRow([]float64{3, 2}, lp.LE, 18),
 			},
 		},
 	})
@@ -51,7 +51,7 @@ func TestIntegerRounding(t *testing.T) {
 			Objective: []float64{1, 1},
 			Maximize:  true,
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{2, 2}, Sense: lp.LE, RHS: 3},
+				lp.DenseRow([]float64{2, 2}, lp.LE, 3),
 			},
 		},
 		Integer: []bool{true, true},
@@ -75,11 +75,11 @@ func TestKnapsack(t *testing.T) {
 			Objective: []float64{10, 13, 7},
 			Maximize:  true,
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{5, 6, 4}, Sense: lp.LE, RHS: 10},
+				lp.DenseRow([]float64{5, 6, 4}, lp.LE, 10),
 				// Binary upper bounds.
-				{Coeffs: []float64{1, 0, 0}, Sense: lp.LE, RHS: 1},
-				{Coeffs: []float64{0, 1, 0}, Sense: lp.LE, RHS: 1},
-				{Coeffs: []float64{0, 0, 1}, Sense: lp.LE, RHS: 1},
+				lp.DenseRow([]float64{1, 0, 0}, lp.LE, 1),
+				lp.DenseRow([]float64{0, 1, 0}, lp.LE, 1),
+				lp.DenseRow([]float64{0, 0, 1}, lp.LE, 1),
 			},
 		},
 		Integer: []bool{true, true, true},
@@ -99,7 +99,7 @@ func TestInfeasibleIP(t *testing.T) {
 			NumVars:   1,
 			Objective: []float64{1},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{2}, Sense: lp.EQ, RHS: 3},
+				lp.DenseRow([]float64{2}, lp.EQ, 3),
 			},
 		},
 		Integer: []bool{true},
@@ -119,7 +119,7 @@ func TestUnboundedIP(t *testing.T) {
 			Objective: []float64{1},
 			Maximize:  true,
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{1}, Sense: lp.GE, RHS: 0},
+				lp.DenseRow([]float64{1}, lp.GE, 0),
 			},
 		},
 		Integer: []bool{true},
@@ -141,8 +141,8 @@ func TestMixedIntegerContinuous(t *testing.T) {
 			Objective: []float64{2, 1},
 			Maximize:  true,
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{1, 0}, Sense: lp.LE, RHS: 2.5},
-				{Coeffs: []float64{1, 1}, Sense: lp.LE, RHS: 4},
+				lp.DenseRow([]float64{1, 0}, lp.LE, 2.5),
+				lp.DenseRow([]float64{1, 1}, lp.LE, 4),
 			},
 		},
 		Integer: []bool{true, false},
@@ -172,7 +172,7 @@ func TestNodeLimit(t *testing.T) {
 			Objective: []float64{1, 1},
 			Maximize:  true,
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{2, 2}, Sense: lp.LE, RHS: 3},
+				lp.DenseRow([]float64{2, 2}, lp.LE, 3),
 			},
 		},
 		Integer: []bool{true, true},
@@ -196,10 +196,10 @@ func TestGapTermination(t *testing.T) {
 			Objective: []float64{10, 13, 7},
 			Maximize:  true,
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{5, 6, 4}, Sense: lp.LE, RHS: 10},
-				{Coeffs: []float64{1, 0, 0}, Sense: lp.LE, RHS: 1},
-				{Coeffs: []float64{0, 1, 0}, Sense: lp.LE, RHS: 1},
-				{Coeffs: []float64{0, 0, 1}, Sense: lp.LE, RHS: 1},
+				lp.DenseRow([]float64{5, 6, 4}, lp.LE, 10),
+				lp.DenseRow([]float64{1, 0, 0}, lp.LE, 1),
+				lp.DenseRow([]float64{0, 1, 0}, lp.LE, 1),
+				lp.DenseRow([]float64{0, 0, 1}, lp.LE, 1),
 			},
 		},
 		Integer: []bool{true, true, true},
@@ -229,19 +229,19 @@ func TestSchedulerShape(t *testing.T) {
 			NumVars:   7,
 			Objective: []float64{0, 0, 0, 2, 2, 2, 1},
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{1, 1, 1, 0, 0, 0, 0}, Sense: lp.EQ, RHS: 10},
+				lp.DenseRow([]float64{1, 1, 1, 0, 0, 0, 0}, lp.EQ, 10),
 				// Capacity + linking: x_i <= 6*y_i.
-				{Coeffs: []float64{1, 0, 0, -bigM, 0, 0, 0}, Sense: lp.LE, RHS: 0},
-				{Coeffs: []float64{0, 1, 0, 0, -bigM, 0, 0}, Sense: lp.LE, RHS: 0},
-				{Coeffs: []float64{0, 0, 1, 0, 0, -bigM, 0}, Sense: lp.LE, RHS: 0},
+				lp.DenseRow([]float64{1, 0, 0, -bigM, 0, 0, 0}, lp.LE, 0),
+				lp.DenseRow([]float64{0, 1, 0, 0, -bigM, 0, 0}, lp.LE, 0),
+				lp.DenseRow([]float64{0, 0, 1, 0, 0, -bigM, 0}, lp.LE, 0),
 				// Peak: x_i <= t.
-				{Coeffs: []float64{1, 0, 0, 0, 0, 0, -1}, Sense: lp.LE, RHS: 0},
-				{Coeffs: []float64{0, 1, 0, 0, 0, 0, -1}, Sense: lp.LE, RHS: 0},
-				{Coeffs: []float64{0, 0, 1, 0, 0, 0, -1}, Sense: lp.LE, RHS: 0},
+				lp.DenseRow([]float64{1, 0, 0, 0, 0, 0, -1}, lp.LE, 0),
+				lp.DenseRow([]float64{0, 1, 0, 0, 0, 0, -1}, lp.LE, 0),
+				lp.DenseRow([]float64{0, 0, 1, 0, 0, 0, -1}, lp.LE, 0),
 				// Binary bounds.
-				{Coeffs: []float64{0, 0, 0, 1, 0, 0, 0}, Sense: lp.LE, RHS: 1},
-				{Coeffs: []float64{0, 0, 0, 0, 1, 0, 0}, Sense: lp.LE, RHS: 1},
-				{Coeffs: []float64{0, 0, 0, 0, 0, 1, 0}, Sense: lp.LE, RHS: 1},
+				lp.DenseRow([]float64{0, 0, 0, 1, 0, 0, 0}, lp.LE, 1),
+				lp.DenseRow([]float64{0, 0, 0, 0, 1, 0, 0}, lp.LE, 1),
+				lp.DenseRow([]float64{0, 0, 0, 0, 0, 1, 0}, lp.LE, 1),
 			},
 		},
 		Integer: []bool{false, false, false, true, true, true, false},

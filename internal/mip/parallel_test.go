@@ -135,9 +135,9 @@ func TestParallelWarm(t *testing.T) {
 			Objective: []float64{5, 4, 3},
 			Maximize:  true,
 			Constraints: []lp.Constraint{
-				{Coeffs: []float64{2, 3, 1}, Sense: lp.LE, RHS: 5},
-				{Coeffs: []float64{4, 1, 2}, Sense: lp.LE, RHS: 11},
-				{Coeffs: []float64{3, 4, 2}, Sense: lp.LE, RHS: 8},
+				lp.DenseRow([]float64{2, 3, 1}, lp.LE, 5),
+				lp.DenseRow([]float64{4, 1, 2}, lp.LE, 11),
+				lp.DenseRow([]float64{3, 4, 2}, lp.LE, 8),
 			},
 		},
 		Integer: []bool{true, false, false},
